@@ -80,6 +80,7 @@
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -484,7 +485,10 @@ impl SimTransport {
                 let t2 = t.clone();
                 std::thread::Builder::new()
                     .name(format!("sim-net-{i}"))
-                    .spawn(move || t2.run(i))
+                    .spawn(move || {
+                        tighten_timer_slack();
+                        t2.run(i)
+                    })
                     .expect("spawn network shard thread")
             })
             .collect();
@@ -650,9 +654,10 @@ impl SimTransport {
                             let due = s.due;
                             shard.cv.wait_until(&mut st, due);
                         }
-                        None => {
-                            shard.cv.wait_for(&mut st, Duration::from_millis(5));
-                        }
+                        // Untimed: every heap push happens under this
+                        // lock before its notify, and `shutdown` notifies
+                        // under it too, so no wakeup can be lost.
+                        None => shard.cv.wait(&mut st),
                     }
                 }
             };
@@ -751,8 +756,27 @@ impl SimTransport {
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         for shard in &self.inner.shards {
+            // Notify under the shard lock: a scheduler between its flag
+            // check and its wait still holds the lock, so it is parked by
+            // the time the notify lands instead of missing it and sleeping
+            // until its next due time.
+            let _st = shard.state.lock();
             shard.cv.notify_all();
         }
+    }
+}
+
+/// Set the calling thread's timer slack to 1 ns so its timed waits fire
+/// at their deadline. Linux's default slack lets a timed wait overrun by
+/// up to 50 µs, more than the default model's 20 µs hop. Best effort: on
+/// a non-Linux host or a restricted procfs the default slack stays.
+fn tighten_timer_slack() {
+    // `/proc/thread-self` links to `<pid>/task/<tid>`.
+    let Ok(link) = std::fs::read_link("/proc/thread-self") else {
+        return;
+    };
+    if let Some(tid) = link.file_name() {
+        let _ = std::fs::write(Path::new("/proc").join(tid).join("timerslack_ns"), "1");
     }
 }
 
@@ -1313,5 +1337,79 @@ mod tests {
             }),
         });
         assert_eq!(ran.load(Ordering::SeqCst), 2 * N + 1);
+    }
+
+    /// Regression for a lost shutdown wakeup: a scheduler caught between
+    /// its flag check and its wait for a far-future delivery used to sleep
+    /// until that delivery's due time (an hour here) and hang the join.
+    #[test]
+    fn repeated_teardown_with_far_future_deliveries_never_hangs() {
+        use std::sync::atomic::AtomicUsize;
+        for _ in 0..200 {
+            let fault = FaultPlane::new(Topology::one_per_node(4));
+            let o = SimTransport::start_sharded(LatencyModel::deterministic_fast(), fault, 7, 4);
+            let t = o.handle();
+            let ran = Arc::new(AtomicUsize::new(0));
+            for dst in 0..4 {
+                let ran = Arc::clone(&ran);
+                t.post_after(
+                    Envelope {
+                        src: 0,
+                        dst,
+                        queue: 0,
+                        bytes: 8,
+                        action: Box::new(move |_, out| {
+                            assert_eq!(out, Outcome::Cancelled);
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        }),
+                    },
+                    Duration::from_secs(3600),
+                );
+            }
+            drop(o);
+            assert_eq!(ran.load(Ordering::SeqCst), 4);
+        }
+    }
+
+    /// Every shard thread runs with 1 ns timer slack, so its timed waits
+    /// are not stretched by the kernel's default 50 µs.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn shard_threads_run_with_tight_timer_slack() {
+        const SHARDS: u32 = 3;
+        let fault = FaultPlane::new(Topology::one_per_node(SHARDS));
+        let o = SimTransport::start_sharded(
+            LatencyModel::deterministic_fast(),
+            fault,
+            3,
+            SHARDS as usize,
+        );
+        let t = o.handle();
+        // A delivery runs on its shard's thread, after the slack was set;
+        // it reports that thread's id (`/proc/thread-self` → `<pid>/task/<tid>`).
+        let (tx, rx) = mpsc::channel();
+        for dst in 0..SHARDS {
+            let tx = tx.clone();
+            t.post(Envelope {
+                src: 0,
+                dst,
+                queue: 0,
+                bytes: 0,
+                action: Box::new(move |_, out| {
+                    assert_eq!(out, Outcome::Delivered);
+                    let link = std::fs::read_link("/proc/thread-self").unwrap();
+                    let tid = link.file_name().unwrap().to_string_lossy().into_owned();
+                    let _ = tx.send((dst, tid));
+                }),
+            });
+        }
+        for _ in 0..SHARDS {
+            let (dst, tid) = rx.recv_timeout(Duration::from_secs(5)).expect("delivery");
+            let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).unwrap();
+            // One rank per node: rank `dst` lives in shard `dst`.
+            assert_eq!(comm.trim_end(), format!("sim-net-{dst}"));
+            let slack = std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).unwrap();
+            assert_eq!(slack.trim_end(), "1", "timer slack of sim-net-{dst}");
+        }
     }
 }

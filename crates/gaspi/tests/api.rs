@@ -119,11 +119,18 @@ fn barrier_times_out_when_member_dead() {
     let outs = world
         .launch(|p| {
             let g = setup_world(&p, 8)?;
+            // The victim dies only once both survivors are past setup:
+            // dying earlier drops its still-in-flight barrier tokens (their
+            // sender is dead) and strands a survivor inside setup.
             if p.rank() == 2 {
+                for _ in 0..2 {
+                    let nid = p.notify_waitsome(SEG, 0, 2, Timeout::Ms(60_000))?;
+                    p.notify_reset(SEG, nid)?;
+                }
                 p.exit_failure();
             }
-            // Give the victim a moment to die, then barrier: must not hang.
-            std::thread::sleep(Duration::from_millis(20));
+            p.write_notify(SEG, 0, 2, SEG, 0, 8, p.rank(), 1, Q)?;
+            // Barrier with a member that is dead or dying: must not hang.
             match p.barrier(g, Timeout::Ms(300)) {
                 Err(GaspiError::Timeout) | Err(GaspiError::RemoteBroken { rank: 2 }) => Ok(true),
                 other => panic!("expected Timeout/RemoteBroken, got {other:?}"),
