@@ -1385,8 +1385,10 @@ mod tests {
             SHARDS as usize,
         );
         let t = o.handle();
-        // A delivery runs on its shard's thread, after the slack was set;
-        // it reports that thread's id (`/proc/thread-self` → `<pid>/task/<tid>`).
+        // A delivery runs on its shard's thread, after the slack was set.
+        // It reads that thread's id (`/proc/thread-self` → `<pid>/task/<tid>`)
+        // and its slack there: Linux lets a thread read its own
+        // `timerslack_ns` but needs CAP_SYS_NICE to read another thread's.
         let (tx, rx) = mpsc::channel();
         for dst in 0..SHARDS {
             let tx = tx.clone();
@@ -1396,19 +1398,24 @@ mod tests {
                 queue: 0,
                 bytes: 0,
                 action: Box::new(move |_, out| {
-                    assert_eq!(out, Outcome::Delivered);
-                    let link = std::fs::read_link("/proc/thread-self").unwrap();
-                    let tid = link.file_name().unwrap().to_string_lossy().into_owned();
-                    let _ = tx.send((dst, tid));
+                    let probe = (|| {
+                        let link = std::fs::read_link("/proc/thread-self")?;
+                        let tid =
+                            link.file_name().unwrap_or_default().to_string_lossy().into_owned();
+                        let slack = std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns"))?;
+                        Ok::<_, std::io::Error>((tid, slack))
+                    })();
+                    let _ = tx.send((dst, out, probe.map_err(|e| e.to_string())));
                 }),
             });
         }
         for _ in 0..SHARDS {
-            let (dst, tid) = rx.recv_timeout(Duration::from_secs(5)).expect("delivery");
+            let (dst, out, probe) = rx.recv_timeout(Duration::from_secs(5)).expect("delivery");
+            assert_eq!(out, Outcome::Delivered);
+            let (tid, slack) = probe.unwrap_or_else(|e| panic!("sim-net-{dst} probe: {e}"));
             let comm = std::fs::read_to_string(format!("/proc/self/task/{tid}/comm")).unwrap();
             // One rank per node: rank `dst` lives in shard `dst`.
             assert_eq!(comm.trim_end(), format!("sim-net-{dst}"));
-            let slack = std::fs::read_to_string(format!("/proc/{tid}/timerslack_ns")).unwrap();
             assert_eq!(slack.trim_end(), "1", "timer slack of sim-net-{dst}");
         }
     }
