@@ -11,7 +11,7 @@
 //! | Strategy | steady-state cost | failure cost |
 //! |---|---|---|
 //! | [`CheckpointRestart`] | one commit per interval | rollback + redo of the lost interval |
-//! | [`Abft`] | one XOR-parity allreduce per step | one parity allreduce; **no rollback, no redo** |
+//! | [`Abft`] | one agreement round + XOR of the changed tiles per step | one parity allreduce; **no rollback, no redo** |
 //! | [`Replicated`] | one replica push per step | fetch one blob from the mirror stream; no redo |
 //!
 //! [`Abft`] follows the algorithm-based fault-tolerance line of Bosilca
@@ -34,6 +34,7 @@
 //! instead of hand-rolling the restore loop.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::time::Duration;
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy};
@@ -199,7 +200,20 @@ struct Generation {
 /// lost rank's state is reconstructed from the survivors' blocks and the
 /// parity — bit-exact, with no rollback and no redo.
 ///
-/// Two generations are kept: the parity allreduce inside `prepare` is a
+/// The encode is incremental. XOR is linear, so
+/// `parity_j = parity_{j-1} ⊕ XOR_ranks(block_j ⊕ block_{j-1})`, and only
+/// words that changed on some rank need reducing. Each `prepare` runs one
+/// fixed-length Max agreement round carrying the padded width, a
+/// "no baseline" flag and one dirty flag per tile of the previous
+/// generation ([`ParityDelta::offer`]); then every rank XOR-reduces just
+/// the agreed dirty tiles plus any growth past the previous width and
+/// patches a copy of the previous parity. The stored parity is bitwise
+/// the one a full encode would produce. A rank without the previous
+/// generation as its baseline — the first `prepare`, the first one after
+/// any `restore` (a rescue, a re-aligned survivor, a fresh start) — raises
+/// the flag, and the whole group falls back to the full encode.
+///
+/// Two generations are kept: the agreement round inside `prepare` is a
 /// synchronization point, so survivors can only ever straddle *adjacent*
 /// generations and the group minimum is always in everyone's window.
 /// More than one simultaneous failure exceeds the single-erasure code and
@@ -207,6 +221,9 @@ struct Generation {
 #[derive(Debug, Default)]
 pub struct Abft {
     history: VecDeque<Generation>,
+    /// Whether the newest generation may serve as the next delta's
+    /// baseline; cleared by `restore`, set again by the next encode.
+    baseline: bool,
 }
 
 impl Abft {
@@ -224,7 +241,7 @@ impl Abft {
 /// zero-pad]`. The length header makes the padded block self-describing,
 /// so reconstruction can recover the exact blob even after padding to the
 /// group-wide maximum.
-fn pack_block(blob: &[u8]) -> Vec<u64> {
+pub fn pack_block(blob: &[u8]) -> Vec<u64> {
     let mut words = Vec::with_capacity(1 + blob.len().div_ceil(8));
     words.push(blob.len() as u64);
     for chunk in blob.chunks(8) {
@@ -256,6 +273,111 @@ fn xor_allreduce(ctx: &FtCtx, words: &[u64]) -> FtResult<Vec<u64>> {
     Ok(out)
 }
 
+/// Tile flags in one agreement round, after the width and the no-baseline
+/// flag.
+const TILE_FLAGS: usize = ALLREDUCE_MAX_ELEMS - 2;
+
+/// The words one ABFT delta encode reduces — the agreed dirty tiles of the
+/// previous generation plus the growth past its width, clipped to the new
+/// width — computed identically on every rank from the agreement round.
+///
+/// Tiles are cut from the previous generation's width, which every rank
+/// holds identically. A tile is a power-of-two run of words counted from
+/// the blob's first word (the packed length word rides with tile 0), so
+/// tiles nest inside the chunk-aligned sections app encodings already use
+/// for incremental checkpoints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParityDelta {
+    ranges: Vec<Range<usize>>,
+    width: usize,
+}
+
+impl ParityDelta {
+    /// Tile length in words for a previous generation `prev_width` words
+    /// wide: the smallest power of two that needs at most one agreement
+    /// round's worth of tile flags.
+    pub fn tile_len(prev_width: usize) -> usize {
+        prev_width.saturating_sub(1).div_ceil(TILE_FLAGS).max(1).next_power_of_two()
+    }
+
+    /// Word range of tile `k` of a `prev_width`-word generation.
+    fn tile(k: usize, prev_width: usize) -> Range<usize> {
+        let t = Self::tile_len(prev_width);
+        let start = if k == 0 { 0 } else { 1 + k * t };
+        start..(1 + (k + 1) * t).min(prev_width)
+    }
+
+    /// This rank's contribution to the Max agreement round
+    /// ([`ALLREDUCE_MAX_ELEMS`] words): `[0]` the packed width of `block`,
+    /// `[1]` the no-baseline flag (set when `base` is `None`), then one
+    /// 0/1 flag per tile of `base` whose words differ in `block` (words
+    /// past either end count as zero). Max over 0/1 flags is an OR.
+    pub fn offer(base: Option<&[u64]>, block: &[u64]) -> Vec<u64> {
+        let mut offer = vec![0; ALLREDUCE_MAX_ELEMS];
+        offer[0] = block.len() as u64;
+        let Some(base) = base else {
+            offer[1] = 1;
+            return offer;
+        };
+        for (k, flag) in offer[2..].iter_mut().enumerate() {
+            let mut tile = Self::tile(k, base.len());
+            if tile.is_empty() {
+                break;
+            }
+            let changed = tile.any(|i| base[i] != block.get(i).copied().unwrap_or(0));
+            *flag = u64::from(changed);
+        }
+        offer
+    }
+
+    /// The delta plan from agreed tile `flags` (the agreement result past
+    /// its first two words), the previous generation's width and the
+    /// newly agreed `width`.
+    pub fn new(flags: &[u64], prev_width: usize, width: usize) -> Self {
+        let dirty = flags.iter().enumerate().filter(|(_, &f)| f != 0);
+        let tiles = dirty.map(|(k, _)| Self::tile(k, prev_width));
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        for r in tiles.chain(std::iter::once(prev_width..width)) {
+            let r = r.start..r.end.min(width);
+            if r.is_empty() {
+                continue;
+            }
+            match ranges.last_mut() {
+                Some(last) if last.end == r.start => last.end = r.end,
+                _ => ranges.push(r),
+            }
+        }
+        Self { ranges, width }
+    }
+
+    /// Number of words this delta reduces.
+    pub fn words(&self) -> usize {
+        self.ranges.iter().map(ExactSizeIterator::len).sum()
+    }
+
+    fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ranges.iter().flat_map(Clone::clone)
+    }
+
+    /// This rank's delta words, packed contiguously: `block ⊕ base` over
+    /// the planned words (`block` padded to the new width; words past
+    /// `base`'s end count as zero).
+    pub fn gather(&self, base: &[u64], block: &[u64]) -> Vec<u64> {
+        self.indices().map(|i| block[i] ^ base.get(i).copied().unwrap_or(0)).collect()
+    }
+
+    /// The new parity: the previous `parity` truncated or zero-extended to
+    /// the new width, with the group-reduced delta XORed in.
+    pub fn patch(&self, parity: &[u64], reduced: &[u64]) -> Vec<u64> {
+        let mut out = parity[..parity.len().min(self.width)].to_vec();
+        out.resize(self.width, 0);
+        for (i, d) in self.indices().zip(reduced) {
+            out[i] ^= d;
+        }
+        out
+    }
+}
+
 impl<A: FtApp> RecoveryStrategy<A> for Abft {
     fn name(&self) -> &'static str {
         "abft"
@@ -264,16 +386,30 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
     fn prepare(&mut self, ctx: &FtCtx, app: &mut A, iter: u64) -> FtResult<()> {
         let blob = app.export_state(ctx, iter)?.ok_or(FtError::Unsupported("export_state"))?;
         let mut block = pack_block(&blob);
-        // State sizes may differ across ranks; agree on a common padded
-        // width so the parity covers every block end to end.
-        let width = ctx.allreduce_u64_ft(&[block.len() as u64], ReduceOp::Max)?[0] as usize;
+        // Only the generation encoded right before this one, by this same
+        // group, can be the delta's baseline.
+        let base = self.history.back().filter(|g| self.baseline && g.iter + 1 == iter);
+        // One agreement round: the common padded width (state sizes may
+        // differ across ranks), whether anyone lacks a baseline, and which
+        // tiles changed anywhere.
+        let offer = ParityDelta::offer(base.map(|g| &g.block[..]), &block);
+        let agreed = ctx.allreduce_u64_ft(&offer, ReduceOp::Max)?;
+        let width = agreed[0] as usize;
         block.resize(width, 0);
-        let parity = xor_allreduce(ctx, &block)?;
+        let parity = match base {
+            Some(g) if agreed[1] == 0 => {
+                let delta = ParityDelta::new(&agreed[2..], g.block.len(), width);
+                let reduced = xor_allreduce(ctx, &delta.gather(&g.block, &block))?;
+                delta.patch(&g.parity, &reduced)
+            }
+            _ => xor_allreduce(ctx, &block)?,
+        };
         ctx.proc.injection_site("strategy.abft.encode");
         self.history.push_back(Generation { iter, block, parity });
         while self.history.len() > 2 {
             self.history.pop_front();
         }
+        self.baseline = true;
         Ok(())
     }
 
@@ -282,6 +418,8 @@ impl<A: FtApp> RecoveryStrategy<A> for Abft {
     }
 
     fn restore(&mut self, ctx: &FtCtx, app: &mut A) -> FtResult<RestoreDecision> {
+        // The group may have changed: the next encode starts from scratch.
+        self.baseline = false;
         let adopted = ctx.restore_source() != ctx.proc.rank();
         // One Min-agreement round carrying two values:
         //   [0] the generation vote — survivors offer their newest
@@ -515,6 +653,153 @@ mod tests {
             }
         }
         assert_eq!(unpack_block(&rec).unwrap(), vec![3u8; 26]);
+    }
+
+    /// A deterministic stand-in for one rank's encoded state.
+    fn blob(rank: u64, gen: u64, len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| (i * 31 + rank * 7 + gen * 13) as u8).collect()
+    }
+
+    fn full_parity(blocks: &[Vec<u64>], width: usize) -> Vec<u64> {
+        let mut parity = vec![0u64; width];
+        for b in blocks {
+            for (p, w) in parity.iter_mut().zip(b) {
+                *p ^= *w;
+            }
+        }
+        parity
+    }
+
+    /// Replays `prepare`'s agreement and delta rounds over simulated
+    /// ranks. `bases[r]` is rank r's previous block (`None`: no baseline);
+    /// returns the new parity, the padded blocks and the delta's word
+    /// count (`None` when the group fell back to the full encode).
+    fn encode(
+        bases: &[Option<Vec<u64>>],
+        parity: &[u64],
+        blobs: &[Vec<u8>],
+    ) -> (Vec<u64>, Vec<Vec<u64>>, Option<usize>) {
+        let mut blocks: Vec<Vec<u64>> = blobs.iter().map(|b| pack_block(b)).collect();
+        let mut agreed = vec![0u64; ALLREDUCE_MAX_ELEMS];
+        for (base, block) in bases.iter().zip(&blocks) {
+            let offer = ParityDelta::offer(base.as_deref(), block);
+            for (a, o) in agreed.iter_mut().zip(offer) {
+                *a = (*a).max(o);
+            }
+        }
+        let width = agreed[0] as usize;
+        blocks.iter_mut().for_each(|b| b.resize(width, 0));
+        if agreed[1] != 0 {
+            return (full_parity(&blocks, width), blocks, None);
+        }
+        let prev_width = bases[0].as_ref().unwrap().len();
+        let delta = ParityDelta::new(&agreed[2..], prev_width, width);
+        let mut reduced = vec![0u64; delta.words()];
+        for (base, block) in bases.iter().zip(&blocks) {
+            let mine = delta.gather(base.as_ref().unwrap(), block);
+            assert_eq!(mine.len(), reduced.len());
+            for (x, d) in reduced.iter_mut().zip(mine) {
+                *x ^= d;
+            }
+        }
+        (delta.patch(parity, &reduced), blocks, Some(delta.words()))
+    }
+
+    #[test]
+    fn chained_delta_encodes_match_the_full_encode_bitwise() {
+        const RANKS: usize = 4;
+        let mut lens: Vec<usize> = (0..RANKS).map(|r| 3000 + 40 * r).collect();
+        let mut blobs: Vec<Vec<u8>> = (0..RANKS).map(|r| blob(r as u64, 0, lens[r])).collect();
+        let mut bases: Vec<Option<Vec<u64>>> = vec![None; RANKS];
+        let mut parity = Vec::new();
+        let (mut deltas, mut fulls, mut grew, mut shrank) = (0, 0, 0, 0);
+        for gen in 1..=60u64 {
+            let width_before = lens.iter().max().unwrap().div_ceil(8) + 1;
+            match gen % 6 {
+                // Unchanged lengths: every rank rewrites a middle stretch.
+                0 => {
+                    for (r, b) in blobs.iter_mut().enumerate() {
+                        let at = (gen as usize * 97 + r * 11) % (b.len() - 64);
+                        b[at..at + 64].copy_from_slice(&blob(r as u64, gen, 64));
+                    }
+                }
+                // Only one rank changes one byte.
+                1 => blobs[gen as usize % RANKS][5] ^= 0x5A,
+                // The longest rank appends (α/β-style growth).
+                2 | 3 => {
+                    let r = (0..RANKS).max_by_key(|&r| lens[r]).unwrap();
+                    lens[r] += 16 + gen as usize;
+                    blobs[r].extend(blob(r as u64, gen, 16 + gen as usize));
+                }
+                // Every rank shrinks, so the agreed width drops.
+                4 => {
+                    for (len, b) in lens.iter_mut().zip(&mut blobs) {
+                        *len -= 24;
+                        b.truncate(*len);
+                    }
+                }
+                // One rank lost its baseline (a rescue, a restore).
+                _ => bases[gen as usize % RANKS] = None,
+            }
+            let width = lens.iter().max().unwrap().div_ceil(8) + 1;
+            grew += usize::from(width > width_before);
+            shrank += usize::from(width < width_before);
+            let (next, blocks, words) = encode(&bases, &parity, &blobs);
+            assert_eq!(next, full_parity(&blocks, width), "generation {gen}");
+            match words {
+                Some(w) => {
+                    deltas += 1;
+                    assert!(w < width, "generation {gen}: a delta must skip clean tiles");
+                }
+                None => fulls += 1,
+            }
+            if gen % 6 == 1 && gen > 1 {
+                // One byte of one rank: the delta is one tile.
+                let tile = ParityDelta::tile_len(bases[0].as_ref().map_or(0, Vec::len));
+                assert_eq!(words, Some(tile + 1), "generation {gen}");
+            }
+            parity = next;
+            bases = blocks.into_iter().map(Some).collect();
+            // Decoding still works off a delta-built parity.
+            let lost = gen as usize % RANKS;
+            let mut rec = parity.clone();
+            for (r, b) in bases.iter().enumerate() {
+                if r != lost {
+                    for (x, w) in rec.iter_mut().zip(b.as_ref().unwrap()) {
+                        *x ^= *w;
+                    }
+                }
+            }
+            assert_eq!(unpack_block(&rec).unwrap(), blobs[lost], "generation {gen}");
+        }
+        assert!(deltas >= 40 && fulls >= 10, "deltas {deltas}, fulls {fulls}");
+        assert!(grew >= 10 && shrank >= 5, "grew {grew}, shrank {shrank}");
+    }
+
+    #[test]
+    fn delta_plan_merges_tiles_and_clips_to_the_width() {
+        // 1 + 1024 words: tiles of 8 (⌈1024/253⌉ = 5 → 8), tile 0 also
+        // carries the length word.
+        let prev_width = 1025;
+        assert_eq!(ParityDelta::tile_len(prev_width), 8);
+        let mut flags = vec![0u64; TILE_FLAGS];
+        flags[0] = 1;
+        flags[3] = 1;
+        flags[4] = 1;
+        flags[127] = 1;
+        let grow = ParityDelta::new(&flags, prev_width, 1030);
+        assert_eq!(grow.ranges, vec![0..9, 25..41, 1017..1030]);
+        assert_eq!(grow.words(), 9 + 16 + 13);
+        let shrink = ParityDelta::new(&flags, prev_width, 1020);
+        assert_eq!(shrink.ranges, vec![0..9, 25..41, 1017..1020]);
+        let parity: Vec<u64> = (0..prev_width as u64).collect();
+        let patched = shrink.patch(&parity, &vec![0; shrink.words()]);
+        assert_eq!(patched, parity[..1020]);
+        // An empty blob is one word, one tile.
+        assert_eq!(ParityDelta::tile_len(1), 1);
+        let offer = ParityDelta::offer(Some(&[0]), &[8, 1]);
+        assert_eq!(offer[..4], [2, 0, 1, 0]);
+        assert_eq!(ParityDelta::offer(None, &[0])[..3], [1, 1, 0]);
     }
 
     #[test]

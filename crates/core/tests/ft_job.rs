@@ -4,10 +4,11 @@
 //! is a pure function of (num_workers, iterations), so any adoption,
 //! restore, or redo mistake shows up as a wrong number.
 
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ft_checkpoint::{Checkpointer, CheckpointerConfig, CopyPolicy, Dec, Enc};
-use ft_cluster::FaultSchedule;
+use ft_cluster::{FaultPlane, FaultSchedule, Injection, Rank};
 use ft_core::ack::FIRST_APP_SEG;
 use ft_core::{
     run_ft_job, FtApp, FtConfig, FtCtx, FtError, FtResult, RecoveryPlan, Role, WorldLayout,
@@ -23,6 +24,26 @@ struct ToyApp {
     acc: f64,
     state_ck: Checkpointer,
     plan_ck: Checkpointer,
+    hold: Option<Hold>,
+}
+
+/// Holds every app rank from iteration `at` on until GASPI rank `victim`
+/// is dead, so a fault tied to job progress is acted on before the job
+/// can run out of iterations. Bounded: after 10 s the step goes on and the
+/// test's own assertions report the miss.
+struct Hold {
+    at: u64,
+    victim: Rank,
+    fault: Arc<FaultPlane>,
+}
+
+impl Hold {
+    fn wait(&self, iter: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while iter >= self.at && self.fault.is_alive(self.victim) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 }
 
 impl ToyApp {
@@ -43,6 +64,7 @@ impl ToyApp {
                 },
                 Some(std::sync::Arc::clone(pfs)),
             ),
+            hold: None,
         }
     }
 
@@ -62,6 +84,10 @@ impl FtApp for ToyApp {
         let mut e = Enc::new();
         e.u64(PLAN_MAGIC).u32(ctx.app_rank());
         self.plan_ck.commit(0, e.finish(), CopyPolicy::Replicate);
+        // The one-time blob must be replicated before computing starts: a
+        // rank killed a few iterations in would otherwise strand its rescue
+        // without the plan.
+        assert!(self.plan_ck.drain(FETCH), "plan blob replication");
         // A data segment, to make the world realistic.
         ctx.proc.segment_create(FIRST_APP_SEG, 256)?;
         ctx.barrier_ft()?;
@@ -84,12 +110,17 @@ impl FtApp for ToyApp {
         let app = d.u32().expect("plan blob app rank");
         assert_eq!(magic, PLAN_MAGIC);
         assert_eq!(app, ctx.app_rank(), "adopted the wrong identity");
-        // Re-home the plan blob under our own rank.
+        // Re-home the plan blob under our own rank (replicated before this
+        // rescue computes, as in `setup`).
         self.plan_ck.commit(0, r.data, CopyPolicy::Replicate);
+        assert!(self.plan_ck.drain(FETCH), "plan blob replication");
         Ok(())
     }
 
     fn step(&mut self, ctx: &FtCtx, iter: u64) -> FtResult<bool> {
+        if let Some(hold) = &self.hold {
+            hold.wait(iter);
+        }
         let x = f64::from(ctx.app_rank() + 1) * (iter + 1) as f64;
         let sum = ctx.allreduce_f64_ft(&[x], ReduceOp::Sum)?[0];
         self.acc += sum;
@@ -259,9 +290,12 @@ fn simultaneous_failures_single_detection_round() {
     // dies, and the threaded FD detects all three in a single round.
     let layout = WorldLayout::new(4, 4);
     let world = GaspiWorld::new(GaspiConfig::deterministic(layout.total()).with_ranks_per_node(3));
-    // Node 0 hosts ranks {0,1,2}; kill it mid-run.
-    let schedule = FaultSchedule::none()
-        .timed(Duration::from_millis(10), ft_cluster::FaultAction::KillNode(ft_cluster::NodeId(0)));
+    // Node 0 hosts ranks {0,1,2}; kill it mid-run, at rank 0's third
+    // checkpoint commit (iteration 60). The kill is tied to job progress:
+    // a wall-clock kill can land inside the initial setup, which the
+    // driver does not recover from.
+    let schedule =
+        FaultSchedule::none().inject(Injection::kill_node("driver.checkpoint.commit", 0, 3));
     let cfg = FtConfig::builder(layout)
         .checkpoint_every(20)
         .max_iters(400)
@@ -325,11 +359,18 @@ fn false_positive_network_failure_is_enforced_dead() {
         .abandon(Duration::from_secs(20))
         .build()
         .unwrap();
-    // Break the link early enough that plenty of iterations remain.
-    let schedule = FaultSchedule::none()
-        .timed(Duration::from_millis(10), ft_cluster::FaultAction::BreakLink(fd, 1));
+    // Break the link at rank 1's second checkpoint commit (iteration 40),
+    // and hold the group at iteration 50 until the FD has enforced the
+    // kill: detection waits for the FD's next scan (every 30 ms), longer
+    // than the toy job's remaining iterations take.
+    let schedule =
+        FaultSchedule::none().inject(Injection::break_link("driver.checkpoint.commit", 1, 2, fd));
     let pfs = ft_checkpoint::Pfs::new(ft_checkpoint::PfsConfig::instant());
-    let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp::new(ctx, &pfs));
+    let hold_fault = Arc::clone(&fault);
+    let report = run_ft_job(&world, cfg, schedule, move |ctx| ToyApp {
+        hold: Some(Hold { at: 50, victim: 1, fault: Arc::clone(&hold_fault) }),
+        ..ToyApp::new(ctx, &pfs)
+    });
     assert_workers_correct(&report, 3, 400);
     assert!(!fault.is_alive(1), "false positive must be enforced dead");
     // Rank 1 was alive when killed: it appears as Killed (fail-stop), and

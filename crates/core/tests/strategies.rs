@@ -179,6 +179,45 @@ fn abft_reconstructs_at_the_frontier_with_zero_redo() {
 }
 
 #[test]
+fn abft_second_reconstruction_decodes_a_delta_built_parity() {
+    // Rank 1 dies at iteration 4. The first encode after that recovery is
+    // a full one (the rescue has no baseline); the encodes after it are
+    // deltas. Rank 2 then dies at iteration 9, so its state comes back
+    // from a parity built by delta encodes.
+    let schedule = FaultSchedule::none().kill_rank_at_iteration(1, 4).kill_rank_at_iteration(2, 9);
+    let report = job(StrategyKind::Abft, schedule);
+    let mut killed = report.killed();
+    killed.sort_unstable();
+    assert_eq!(killed, vec![1, 2]);
+    assert_exact(&report, "abft-two-kills");
+    let clean = job(StrategyKind::Abft, FaultSchedule::none());
+    assert_eq!(
+        report.worker_summaries(),
+        clean.worker_summaries(),
+        "both reconstructions must match the failure-free run bitwise"
+    );
+    let ev = report.events.snapshot();
+    assert!(
+        !ev.iter().any(|e| matches!(e.kind, EventKind::RedoComplete { .. })),
+        "ABFT reconstruction must not redo work"
+    );
+    let restores: Vec<(u64, u64)> = ev
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Restored { epoch, iter } => Some((epoch, iter)),
+            _ => None,
+        })
+        .collect();
+    for epoch in [1, 2] {
+        assert!(restores.iter().any(|&(e, _)| e == epoch), "epoch {epoch} must restore");
+    }
+    assert!(
+        restores.iter().all(|&(epoch, iter)| iter == if epoch == 1 { 4 } else { 9 }),
+        "every member must resume at the frontier, got {restores:?}"
+    );
+}
+
+#[test]
 fn checkpoint_restart_rolls_back_where_abft_does_not() {
     // Contrast pin: under the identical schedule, C/R resumes at the
     // version-1 checkpoint (iteration 4) and redoes the lost interval.

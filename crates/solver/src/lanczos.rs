@@ -249,6 +249,41 @@ mod tests {
     }
 
     #[test]
+    fn abft_delta_encode_reduces_only_the_vectors_header_and_tail() {
+        use ft_core::strategy::{pack_block, ParityDelta};
+        // 768 rows: one rank's share of the 48×32 graphene benchmark
+        // matrix on 4 workers.
+        let rows = 768;
+        let mut s = LanczosState::init(0, rows, 5);
+        let mut prev: Option<Vec<u64>> = None;
+        for it in 1..=600u64 {
+            // One synthetic step: the vectors change wholesale, α/β append.
+            let next: Vec<f64> =
+                s.v.iter()
+                    .enumerate()
+                    .map(|(i, x)| 0.5 * x + (i as f64 + 0.1) / it as f64)
+                    .collect();
+            s.v_prev = std::mem::replace(&mut s.v, next);
+            s.alphas.push(0.25 * it as f64);
+            s.betas.push(1.0 / it as f64);
+            s.iter = it;
+            let block = pack_block(&s.encode());
+            if let Some(base) = &prev {
+                let offer = ParityDelta::offer(Some(base), &block);
+                let delta = ParityDelta::new(&offer[2..], base.len(), block.len());
+                let tile = ParityDelta::tile_len(base.len());
+                assert!(
+                    delta.words() <= 2 * rows + 2 * tile + 2,
+                    "iteration {it}: {} words reduced of {} (tile {tile})",
+                    delta.words(),
+                    block.len()
+                );
+            }
+            prev = Some(block);
+        }
+    }
+
+    #[test]
     fn eigenvalues_of_empty_state() {
         let s = LanczosState::init(0, 4, 1);
         assert!(s.eigenvalues().is_empty());
